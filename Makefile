@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race ci bench benchsmoke bench-scaling bench-htap bench-wire
+.PHONY: all build vet lint test race perfbench-test ci bench benchsmoke bench-scaling bench-htap bench-wire
 
 all: ci
 
@@ -44,10 +44,16 @@ test:
 race:
 	$(GO) test -race ./...
 
+# perfbench is a Go module of its own (it replaces hybriddb with this
+# checkout), so `go test ./...` does not reach it. Its tests pin the
+# TPC-C stream's determinism and the committed ch_olap result checksums.
+perfbench-test:
+	cd perfbench && $(GO) test .
+
 # ci is the tier-1 gate referenced from ROADMAP.md. benchsmoke runs the
 # parallel-executor benchmarks for one iteration so the morsel dispatch
 # and gather paths are exercised even when no test opts into them.
-ci: vet lint build test race benchsmoke
+ci: vet lint build test race perfbench-test benchsmoke
 
 bench: bench-wire
 	$(GO) test -bench=. -benchmem -run '^$$' ./...

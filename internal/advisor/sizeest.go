@@ -47,20 +47,20 @@ const SampleTarget = 8000
 // a hypothetical columnstore over all of t's columns (plus the hidden
 // UID), without building it on the full data.
 func EstimateCSISize(t *table.Table, method SizeMethod, seed int64) (total int64, perCol []int64) {
-	rows, _ := t.AllRows(nil)
+	n := t.RowCount()
 	ncols := t.Schema.Len()
 	perCol = make([]int64, ncols)
-	if len(rows) == 0 {
+	if n == 0 {
 		return 0, perCol
 	}
 	rng := rand.New(rand.NewSource(seed))
 	// Block-level sampling with row shuffle to correct clustering bias
 	// (Section 4.4 / Chaudhuri et al.).
-	sample := stats.BlockSample(rows, 128, SampleTarget, rng, true)
+	sample := t.BlockSample(128, SampleTarget, rng, true)
 	if len(sample.Rows) == 0 {
 		return 0, perCol
 	}
-	scale := float64(len(rows)) / float64(len(sample.Rows))
+	scale := float64(n) / float64(len(sample.Rows))
 
 	switch method {
 	case SizeBlackBox:
@@ -75,13 +75,13 @@ func EstimateCSISize(t *table.Table, method SizeMethod, seed int64) (total int64
 			perCol[c] = int64(float64(idx.ColumnBytes(c)) * scale)
 		}
 	default:
-		perCol = geeSizeEstimate(t, sample, int64(len(rows)))
+		perCol = geeSizeEstimate(t, sample, n)
 	}
 	for _, b := range perCol {
 		total += b
 	}
 	// Hidden UID column: unique values, effectively incompressible.
-	total += int64(len(rows)) * 8
+	total += n * 8
 	return total, perCol
 }
 

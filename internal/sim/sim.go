@@ -19,6 +19,7 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -167,6 +168,7 @@ func (q *eventQueue) Pop() interface{} {
 // --- simulation ---
 
 type clientState struct {
+	id       int // creation order; fixes every iteration order over clients
 	group    *ClientGroup
 	job      *Job
 	start    time.Duration // statement start
@@ -179,8 +181,14 @@ type clientState struct {
 
 type pool struct {
 	cores  int
-	active map[*clientState]bool
-	gen    int64 // invalidates stale completion events
+	active []*clientState // ascending id, so runs replay identically
+	gen    int64          // invalidates stale completion events
+}
+
+// add inserts c into the active set, keeping it ordered by id.
+func (p *pool) add(c *clientState) {
+	i := sort.Search(len(p.active), func(i int) bool { return p.active[i].id >= c.id })
+	p.active = slices.Insert(p.active, i, c)
 }
 
 type sim struct {
@@ -208,12 +216,14 @@ func Run(cfg Config) *Result {
 		stats: make(map[string]*JobStats),
 	}
 	for _, c := range cfg.Pools {
-		s.pools = append(s.pools, &pool{cores: c, active: make(map[*clientState]bool)})
+		s.pools = append(s.pools, &pool{cores: c})
 	}
+	nclients := 0
 	for gi := range cfg.Groups {
 		g := &cfg.Groups[gi]
 		for i := 0; i < g.Count; i++ {
-			c := &clientState{group: g}
+			c := &clientState{id: nclients, group: g}
+			nclients++
 			s.schedule(0, func() { s.startStatement(c) })
 		}
 	}
@@ -239,7 +249,7 @@ func (s *sim) settle(to time.Duration) {
 	dt := to - s.lastUpd
 	if dt > 0 {
 		for _, p := range s.pools {
-			for c := range p.active {
+			for _, c := range p.active {
 				c.remain -= time.Duration(float64(dt) * c.rate)
 				if c.remain < 0 {
 					c.remain = 0
@@ -375,7 +385,7 @@ func (s *sim) stripesFor(lr LockReq) []int {
 // beginCPU moves the client into its pool's processor-sharing set.
 func (s *sim) beginCPU(c *clientState) {
 	p := s.pools[c.group.Pool]
-	p.active[c] = true
+	p.add(c)
 	s.recompute(p)
 }
 
@@ -393,14 +403,19 @@ func (s *sim) recompute(p *pool) {
 		cap float64
 	}
 	slots := make([]slot, 0, len(p.active))
-	for c := range p.active {
+	for _, c := range p.active {
 		dop := c.job.MaxDOP
 		if dop < 1 {
 			dop = 1
 		}
 		slots = append(slots, slot{c: c, cap: float64(dop)})
 	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i].cap < slots[j].cap })
+	sort.Slice(slots, func(i, j int) bool {
+		if slots[i].cap != slots[j].cap {
+			return slots[i].cap < slots[j].cap
+		}
+		return slots[i].c.id < slots[j].c.id
+	})
 	cores := float64(p.cores)
 	remainingJobs := len(slots)
 	for _, sl := range slots {
@@ -415,7 +430,7 @@ func (s *sim) recompute(p *pool) {
 	}
 	// Next completion.
 	var next time.Duration = -1
-	for c := range p.active {
+	for _, c := range p.active {
 		if c.rate <= 0 {
 			continue
 		}
@@ -437,13 +452,17 @@ func (s *sim) recompute(p *pool) {
 // checkCompletions finishes any job whose CPU work has drained.
 func (s *sim) checkCompletions(p *pool) {
 	var finished []*clientState
-	for c := range p.active {
+	running := p.active[:0]
+	for _, c := range p.active {
 		if c.remain <= 0 {
 			finished = append(finished, c)
+		} else {
+			running = append(running, c)
 		}
 	}
+	clear(p.active[len(running):])
+	p.active = running
 	for _, c := range finished {
-		delete(p.active, c)
 		s.finishCPU(c)
 	}
 	s.recompute(p)

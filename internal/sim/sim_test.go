@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -183,5 +184,60 @@ func TestPoolIsolation(t *testing.T) {
 	})
 	if m := res.PerJob["l"].Mean(); m > 6*time.Millisecond {
 		t.Errorf("isolated pool slowed: %v", m)
+	}
+}
+
+// chLikeConfig is a CH-style mix on one shared pool: 19 TPC-C clients
+// drawing weighted transactions that lock overlapping stripes, beside
+// one parallel analytic reader — enough simultaneous completions and
+// equal-cap ties to expose any iteration-order dependence.
+func chLikeConfig() Config {
+	newOrder := &Job{Name: "NewOrder", CPUWork: 900 * time.Microsecond, MaxDOP: 1,
+		Locks: []LockReq{
+			{Table: "stock", Exclusive: true, Rows: 10, TableRows: 100000},
+			{Table: "orderline", Exclusive: true, Rows: 10, TableRows: 300000},
+			{Table: "district", Exclusive: true, Rows: 1, TableRows: 10},
+		}}
+	payment := &Job{Name: "Payment", CPUWork: 400 * time.Microsecond, MaxDOP: 1,
+		Locks: []LockReq{
+			{Table: "customer", Exclusive: true, Rows: 1, TableRows: 30000},
+			{Table: "district", Exclusive: true, Rows: 1, TableRows: 10},
+		}}
+	orderStatus := &Job{Name: "OrderStatus", CPUWork: 300 * time.Microsecond, MaxDOP: 1, IsRead: true,
+		Locks: []LockReq{{Table: "orderline", Rows: 10, TableRows: 300000}}}
+	query := &Job{Name: "Q1", CPUWork: 40 * time.Millisecond, MaxDOP: 8, IsRead: true,
+		IOTime: time.Millisecond, Locks: []LockReq{{Table: "orderline", Rows: 300000, TableRows: 300000}}}
+	return Config{
+		Pools:     []int{8},
+		Isolation: Snapshot,
+		Groups: []ClientGroup{
+			{Count: 19, Pick: func(rng *rand.Rand) *Job {
+				switch r := rng.Intn(100); {
+				case r < 45:
+					return newOrder
+				case r < 88:
+					return payment
+				default:
+					return orderStatus
+				}
+			}},
+			{Count: 1, Pick: fixed(query)},
+		},
+		Duration:        300 * time.Millisecond,
+		Warmup:          20 * time.Millisecond,
+		Seed:            11,
+		StripesPerTable: 64,
+	}
+}
+
+func TestRunDeterministic(t *testing.T) {
+	want := Run(chLikeConfig())
+	if want.Completed == 0 {
+		t.Fatal("no statements completed")
+	}
+	for i := 0; i < 3; i++ {
+		if got := Run(chLikeConfig()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d differs: completed %d vs %d", i+2, got.Completed, want.Completed)
+		}
 	}
 }

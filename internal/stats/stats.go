@@ -29,35 +29,80 @@ type Sample struct {
 // a clustered index sorted on the sampled column). Callers that feed
 // order-sensitive estimators should shuffle row order per block, which
 // is the bias correction from Chaudhuri et al. the paper adopts; the
-// rowShuffle flag applies it.
+// rowShuffle flag applies it. Table.BlockSample draws the same sample
+// by walking a table without materializing it; this slice form is the
+// reference it is tested against.
 func BlockSample(rows []value.Row, blockRows, targetRows int, rng *rand.Rand, rowShuffle bool) Sample {
-	n := len(rows)
-	if n == 0 || targetRows <= 0 {
-		return Sample{Fraction: 0, TotalRows: int64(n)}
+	p := PickBlocks(len(rows), blockRows, targetRows, rng)
+	out := make([]value.Row, 0, p.Cap())
+	for _, b := range p.blocks {
+		lo := b * p.blockRows
+		hi := min(lo+p.blockRows, p.n)
+		out = append(out, rows[lo:hi]...)
 	}
+	return p.Sample(out, rng, rowShuffle)
+}
+
+// BlockPicks is the block choice of one block sample over a population
+// of n rows. Samplers that cannot index rows by position walk them in
+// order and ask Keep about each one, so every sampler draws exactly
+// the blocks BlockSample would from the same rng state.
+type BlockPicks struct {
+	n, blockRows int
+	blocks       []int // picked block numbers, ascending
+	cur          int   // index of the first block Keep has not passed
+}
+
+// PickBlocks draws the blocks a sample of at least targetRows rows
+// takes from n rows in blocks of blockRows (128 when non-positive).
+// It draws nothing from rng when n or targetRows is not positive.
+func PickBlocks(n, blockRows, targetRows int, rng *rand.Rand) *BlockPicks {
 	if blockRows <= 0 {
 		blockRows = 128
 	}
-	nblocks := (n + blockRows - 1) / blockRows
-	need := (targetRows + blockRows - 1) / blockRows
-	if need > nblocks {
-		need = nblocks
+	p := &BlockPicks{n: n, blockRows: blockRows}
+	if n == 0 || targetRows <= 0 {
+		return p
 	}
-	picked := rng.Perm(nblocks)[:need]
-	sort.Ints(picked)
-	out := make([]value.Row, 0, need*blockRows)
-	for _, b := range picked {
-		lo := b * blockRows
-		hi := lo + blockRows
-		if hi > n {
-			hi = n
-		}
-		out = append(out, rows[lo:hi]...)
+	nblocks := (n + blockRows - 1) / blockRows
+	need := min((targetRows+blockRows-1)/blockRows, nblocks)
+	p.blocks = rng.Perm(nblocks)[:need]
+	sort.Ints(p.blocks)
+	return p
+}
+
+// Cap returns an upper bound on the number of rows the picked blocks
+// hold.
+func (p *BlockPicks) Cap() int { return len(p.blocks) * p.blockRows }
+
+// End returns the position just past the last picked row: a walk can
+// stop there.
+func (p *BlockPicks) End() int {
+	if len(p.blocks) == 0 {
+		return 0
+	}
+	return min((p.blocks[len(p.blocks)-1]+1)*p.blockRows, p.n)
+}
+
+// Keep reports whether the row at position pos lies in a picked block.
+// Positions must be asked in ascending order.
+func (p *BlockPicks) Keep(pos int) bool {
+	for p.cur < len(p.blocks) && (p.blocks[p.cur]+1)*p.blockRows <= pos {
+		p.cur++
+	}
+	return p.cur < len(p.blocks) && p.blocks[p.cur]*p.blockRows <= pos
+}
+
+// Sample wraps the rows of the picked blocks, in position order, into
+// a Sample, shuffling them with rng when rowShuffle is set.
+func (p *BlockPicks) Sample(rows []value.Row, rng *rand.Rand, rowShuffle bool) Sample {
+	if len(p.blocks) == 0 {
+		return Sample{Fraction: 0, TotalRows: int64(p.n)}
 	}
 	if rowShuffle {
-		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 	}
-	return Sample{Rows: out, Fraction: float64(len(out)) / float64(n), TotalRows: int64(n)}
+	return Sample{Rows: rows, Fraction: float64(len(rows)) / float64(p.n), TotalRows: int64(p.n)}
 }
 
 // Histogram is an equi-depth histogram over one column.

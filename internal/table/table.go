@@ -11,6 +11,7 @@ package table
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"sync"
@@ -18,11 +19,14 @@ import (
 	"hybriddb/internal/btree"
 	"hybriddb/internal/colstore"
 	"hybriddb/internal/heap"
+	"hybriddb/internal/metrics"
 	"hybriddb/internal/stats"
 	"hybriddb/internal/storage"
 	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
 )
+
+var mHistogramBuilds = metrics.NewCounter("hybriddb_table_histogram_builds_total", "column histograms built from a block sample")
 
 // PrimaryKind identifies the table's primary structure.
 type PrimaryKind int
@@ -92,10 +96,10 @@ type Table struct {
 
 	// statsMu guards the lazily built histogram cache: concurrent
 	// read-only queries (which hold only the engine's shared lock) may
-	// both trigger a build for the same column.
+	// both trigger a build for the same column. Writes drop the entries
+	// a rebuild could build differently (see dropHistograms).
 	statsMu    sync.Mutex
 	histograms map[int]*stats.Histogram
-	statsDirty bool
 }
 
 // New creates an empty table with a heap primary.
@@ -221,7 +225,7 @@ func (t *Table) BulkLoad(tr *vclock.Tracker, rows []value.Row) {
 	for _, s := range t.Secondaries {
 		t.secondaryInsertBulk(tr, s, rows, uids)
 	}
-	t.statsDirty = true
+	t.dropHistograms(nil)
 }
 
 func (t *Table) withUIDs(rows []value.Row, uids []int64) []value.Row {
@@ -272,7 +276,7 @@ func (t *Table) Insert(tr *vclock.Tracker, row value.Row) int64 {
 		t.secondaryInsert(tr, s, row, uid)
 	}
 	t.rowCount++
-	t.statsDirty = true
+	t.dropHistograms(nil)
 	return uid
 }
 
@@ -393,7 +397,7 @@ func (t *Table) Delete(tr *vclock.Tracker, matches []Match) int64 {
 		}
 	}
 	t.rowCount -= int64(len(matches))
-	t.statsDirty = true
+	t.dropHistograms(nil)
 	return int64(len(matches))
 }
 
@@ -449,6 +453,11 @@ func (t *Table) ApplyUpdates(tr *vclock.Tracker, ups []Update) int64 {
 	if len(ups) == 0 {
 		return 0
 	}
+	// inPlace records that every row kept its position in primary
+	// order: heap updates overwrite their slot, and a B+ primary keeps a
+	// row whose cluster key is unchanged. A columnstore primary deletes
+	// and re-inserts, so its rows move.
+	inPlace := t.primary != PrimaryColumnstore
 	switch t.primary {
 	case PrimaryHeap:
 		for _, u := range ups {
@@ -470,6 +479,7 @@ func (t *Table) ApplyUpdates(tr *vclock.Tracker, ups []Update) int64 {
 			} else {
 				t.tree.Delete(tr, oldKey, nil)
 				t.tree.Insert(tr, newKey, u.New)
+				inPlace = false
 			}
 		}
 	default:
@@ -515,8 +525,45 @@ func (t *Table) ApplyUpdates(tr *vclock.Tracker, ups []Update) int64 {
 			}
 		}
 	}
-	t.statsDirty = true
+	if inPlace {
+		t.dropHistograms(changedColumns(t.Schema.Len(), ups))
+	} else {
+		t.dropHistograms(nil)
+	}
 	return int64(len(ups))
+}
+
+// changedColumns marks the columns whose value differs bitwise between
+// the old and new row of any update.
+func changedColumns(ncols int, ups []Update) []bool {
+	changed := make([]bool, ncols)
+	for _, u := range ups {
+		for c := range changed {
+			if !changed[c] && !value.Identical(u.Old[c], u.New[c]) {
+				changed[c] = true
+			}
+		}
+	}
+	return changed
+}
+
+// dropHistograms forgets cached histograms that a rebuild could now
+// build differently. A nil changed drops them all: the write moved
+// rows or changed the row count, and with it the sample's seed and
+// block picks. Otherwise every row kept its position, so the sample
+// picks the same rows and only the columns changed marks can differ.
+func (t *Table) dropHistograms(changed []bool) {
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	if changed == nil {
+		clear(t.histograms)
+		return
+	}
+	for c := range t.histograms {
+		if changed[c] {
+			delete(t.histograms, c)
+		}
+	}
 }
 
 // ConvertPrimary rebuilds the table's primary structure in the given
@@ -679,23 +726,96 @@ func (t *Table) FetchRow(tr *vclock.Tracker, clusterVals value.Row, uid int64) (
 func (t *Table) Histogram(col int) *stats.Histogram {
 	t.statsMu.Lock()
 	defer t.statsMu.Unlock()
-	if t.statsDirty {
-		t.histograms = make(map[int]*stats.Histogram)
-		t.statsDirty = false
-	}
 	if h, ok := t.histograms[col]; ok {
 		return h
 	}
-	rows, _ := t.AllRows(nil)
-	rng := rand.New(rand.NewSource(int64(len(rows))*31 + int64(col)))
-	sample := stats.BlockSample(rows, 128, 20000, rng, true)
+	mHistogramBuilds.Inc()
+	rng := rand.New(rand.NewSource(t.rowCount*31 + int64(col)))
+	sample := t.BlockSample(128, 20000, rng, true, col)
 	vals := make([]value.Value, len(sample.Rows))
 	for i, r := range sample.Rows {
-		vals[i] = r[col]
+		vals[i] = r[0]
 	}
 	h := stats.BuildHistogram(vals, 64, sample.Fraction)
 	t.histograms[col] = h
 	return h
+}
+
+// CachedHistograms returns a copy of the histogram cache, by column:
+// the histograms Histogram would return without building.
+func (t *Table) CachedHistograms() map[int]*stats.Histogram {
+	t.statsMu.Lock()
+	defer t.statsMu.Unlock()
+	return maps.Clone(t.histograms)
+}
+
+// BlockSample draws the block sample stats.BlockSample would draw from
+// AllRows with the same arguments and rng state, without materializing
+// the table: it walks the primary in AllRows order, copies only the
+// rows of the picked blocks, and stops after the last one. When cols
+// are given, each sampled row holds just those columns, in that order,
+// and a columnstore primary decodes only them. Like AllRows, the walk
+// charges nothing.
+func (t *Table) BlockSample(blockRows, targetRows int, rng *rand.Rand, rowShuffle bool, cols ...int) stats.Sample {
+	p := stats.PickBlocks(int(t.rowCount), blockRows, targetRows, rng)
+	end := p.End()
+	if end == 0 {
+		return p.Sample(nil, rng, rowShuffle)
+	}
+	if len(cols) == 0 {
+		cols = make([]int, t.Schema.Len())
+		for i := range cols {
+			cols[i] = i
+		}
+	}
+	w := len(cols)
+	out := make([]value.Row, 0, p.Cap())
+	slab := make([]value.Value, 0, p.Cap()*w)
+	next := func() value.Row {
+		r := slab[len(slab) : len(slab)+w : len(slab)+w]
+		slab = slab[:len(slab)+w]
+		out = append(out, r)
+		return r
+	}
+	pos := 0
+	switch t.primary {
+	case PrimaryHeap:
+		t.heap.Scan(nil, func(_ heap.RowID, row value.Row) bool {
+			if p.Keep(pos) {
+				r := next()
+				for i, c := range cols {
+					r[i] = row[c]
+				}
+			}
+			pos++
+			return pos < end
+		})
+	case PrimaryBTree:
+		for it := t.tree.First(nil); it.Valid() && pos < end; it.Next() {
+			if p.Keep(pos) {
+				row, r := it.Row(), next()
+				for i, c := range cols {
+					r[i] = row[c]
+				}
+			}
+			pos++
+		}
+	default:
+		sc := t.cci.NewScanner(nil, colstore.ScanSpec{Cols: cols, PruneCol: -1})
+		for pos < end && sc.Next() {
+			b := sc.Batch()
+			for i := 0; i < b.Len() && pos < end; i++ {
+				if p.Keep(pos) {
+					li, r := b.LiveIndex(i), next()
+					for ci := range r {
+						r[ci] = b.Cols[ci].Value(li)
+					}
+				}
+				pos++
+			}
+		}
+	}
+	return p.Sample(out, rng, rowShuffle)
 }
 
 // PrimaryBytes returns the on-disk size of the primary structure.

@@ -455,3 +455,12 @@ func appendUint64(dst []byte, u uint64) []byte {
 		byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32),
 		byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
 }
+
+// Identical reports whether a and b are the same value bit for bit:
+// same kind and payload, with floats compared by their IEEE bits, so
+// -0.0 and +0.0 differ and a NaN is identical only to the same NaN.
+// Equal, by contrast, follows SQL comparison.
+func Identical(a, b Value) bool {
+	return a.kind == b.kind && a.i == b.i && a.s == b.s &&
+		math.Float64bits(a.f) == math.Float64bits(b.f)
+}

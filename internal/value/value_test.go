@@ -316,3 +316,26 @@ func TestDecodeRowCorrupt(t *testing.T) {
 		t.Fatal("empty buffer not detected")
 	}
 }
+
+func TestIdentical(t *testing.T) {
+	negZero := NewFloat(math.Copysign(0, -1))
+	nan := NewFloat(math.NaN())
+	same := []Value{Null, NewInt(3), NewFloat(1.5), NewFloat(0), negZero, nan, NewString("a")}
+	for _, v := range same {
+		if !Identical(v, v) {
+			t.Errorf("Identical(%v, %v) = false", v, v)
+		}
+	}
+	differ := [][2]Value{
+		{negZero, NewFloat(0)},   // SQL-equal, different bits
+		{NewFloat(1.5), nan},     // NaN never equals a number
+		{NewInt(1), NewFloat(1)}, // same number, different kind
+		{Null, NewInt(0)},
+		{NewString("a"), NewString("b")},
+	}
+	for _, p := range differ {
+		if Identical(p[0], p[1]) {
+			t.Errorf("Identical(%v, %v) = true", p[0], p[1])
+		}
+	}
+}
