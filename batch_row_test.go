@@ -79,4 +79,18 @@ func TestBatchRowSpineEquivalence(t *testing.T) {
 	if v, ok := res.Trace.Children[0].Attr("batch_operators"); !ok || v < 2 {
 		t.Errorf("batch_operators attr = %d (present=%v), want >= 2", v, ok)
 	}
+
+	// Q03 and Q18 join oorder and orderline on o_id, o_d_id and o_w_id:
+	// the batch hash join must hash all three, not fan out on one.
+	for _, qi := range []int{3, 18} {
+		res, err := db.Exec("EXPLAIN ANALYZE " + workload.CHQueries()[qi-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hj := hashJoinNode(res.Trace); hj == nil {
+			t.Errorf("Q%02d: no HashJoin in\n%s", qi, res.Trace)
+		} else if v, _ := hj.Attr("hash_keys"); v != 3 {
+			t.Errorf("Q%02d: hash_keys=%d, want 3\n%s", qi, v, res.Trace)
+		}
+	}
 }

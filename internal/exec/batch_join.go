@@ -1,11 +1,13 @@
 package exec
 
 import (
+	"math"
 	"sync"
 
 	"hybriddb/internal/colstore"
 	"hybriddb/internal/metrics"
 	"hybriddb/internal/plan"
+	"hybriddb/internal/sql"
 	"hybriddb/internal/value"
 	"hybriddb/internal/vclock"
 	"hybriddb/internal/vec"
@@ -13,8 +15,8 @@ import (
 
 // batchHashJoin is the batch-spine hash join. The build side is drained
 // into a columnar store (typed vectors, one growable column per
-// populated slot) keyed by an int64 map when the join key is
-// integer-backed — value.EncodeKey carries no kind tag for int-payload
+// populated slot). When the join key is integer-backed the hash table
+// is an int64 map: value.EncodeKey carries no kind tag for int-payload
 // kinds, so the raw payload is the same key the row-mode table hashes.
 // Parallel-marked int-keyed builds shard that store by key hash into
 // per-worker partitions built concurrently (see buildPartitionedBatch);
@@ -22,13 +24,32 @@ import (
 // batches stream through, emitting columnar output batches when both
 // sides are columnar and composite rows otherwise.
 //
+// Composite keys. The optimizer hashes one equality (LeftSlot =
+// RightSlot) and leaves a multi-column join's other equalities in
+// Residual. An int-keyed build also hashes every residual conjunct
+// foldKeys accepts: ColRef = ColRef between a stored build column and
+// a probe-side column, both of the store column's int-backed kind. The
+// key columns' payloads are folded with mixKey into the one int64
+// table key, so partitioning and lookup are unchanged; a single-key
+// join keeps the raw payload. A mixed key can collide, so every
+// candidate is verified by comparing each key column's payload
+// (keysMatch) — exactly what `=` between two values of one int-backed
+// kind decides. Folded conjuncts are dropped from the per-match
+// evaluation; the rest still run, and a columnar probe with none left
+// skips the scratch-row fill.
+//
 // Charge parity with the row-mode hashJoinCursor is exact: the probe
 // subtree is constructed before the build drain (grant-aware blocking
 // operators below the probe side allocate and release before build
-// memory is held), each non-null build row allocates Width()+32 then
-// charges HashCPU, each probe row charges HashCPU before its null
-// check, residual conjuncts evaluate uncharged, and the build memory is
-// freed when the last output has been emitted.
+// memory is held), each build row with a non-null LeftSlot allocates
+// Width()+32 then charges HashCPU — also when a folded key is NULL and
+// the row is left out of the table, since no probe could pass its
+// residual — each probe row charges HashCPU before its null checks,
+// residual conjuncts evaluate uncharged, and the build memory is freed
+// when the last output has been emitted. The matches for a composite
+// key are the residual-passing subsequence of the single-key match
+// list, in build-input order, so output order is unchanged at any
+// partition count.
 type batchHashJoin struct {
 	ctx *Context
 	j   *plan.Join
@@ -44,6 +65,16 @@ type batchHashJoin struct {
 	// tables are nil when the build side is empty (probes then charge
 	// and miss, as in row mode).
 	htable map[string][]int32
+
+	// Composite key (foldKeys): store column of every key, LeftSlot
+	// first, and the probe slot of every key beyond RightSlot; keyCols is
+	// nil for a single-key join. keyKinds holds the kind of every key of
+	// an int-keyed build, LeftSlot's first. rest is the residual left to
+	// evaluate per match.
+	keyCols    []int
+	keyKinds   []value.Kind
+	probeExtra []int
+	rest       []sql.Expr
 
 	bytes int64
 	freed bool
@@ -140,8 +171,10 @@ type probeState struct {
 	scratch value.Row
 	buf     []byte
 
-	keyRes bool
-	keyVi  int // probe-batch vector carrying the join key, -1 if absent
+	keyRes  bool
+	keyVi   int   // probe-batch vector carrying the join key, -1 if absent
+	extraVi []int // probe-batch vector per folded key beyond the first
+	vals    []int64
 
 	// Columnar-output plumbing, resolved against the first columnar
 	// probe batch (slot mappings are stable across a producer's batches).
@@ -188,6 +221,7 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 	colStore := false
 	keyVi := -1
 	var storeSrc []int // build vector index per store column
+	c.rest = j.Residual
 	for {
 		sb, ok := build.NextBatch()
 		if !ok {
@@ -211,6 +245,13 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 				}
 				nParts := 1
 				intKey := intBacked(sb.B.Cols[keyVi].Kind)
+				if intKey {
+					c.keyCols, c.probeExtra, c.rest = foldKeys(j, c.storeSlots, kinds)
+					c.keyKinds = []value.Kind{sb.B.Cols[keyVi].Kind}
+					for i := 1; i < len(c.keyCols); i++ {
+						c.keyKinds = append(c.keyKinds, kinds[c.keyCols[i]])
+					}
+				}
 				if intKey && j.Parallel {
 					nParts = buildPartitions(ctx)
 				}
@@ -231,8 +272,9 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 			}
 		}
 		if colStore {
+			extra := c.extraBuildVecs(sb, storeSrc)
 			if len(c.parts) > 1 {
-				c.buildPartitionedBatch(sb, keyVi, storeSrc)
+				c.buildPartitionedBatch(sb, keyVi, storeSrc, extra)
 				continue
 			}
 			pt := c.parts[0]
@@ -243,16 +285,14 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 				if kv.IsNull(p) {
 					continue
 				}
-				if pt.itable != nil {
-					pt.itable[kv.I[p]] = append(pt.itable[kv.I[p]], int32(pt.n))
-				} else {
+				if pt.itable == nil {
 					buf = value.EncodeKey(buf[:0], kv.Value(p))
 					c.htable[string(buf)] = append(c.htable[string(buf)], int32(pt.n))
+					pt.add(sb, storeSrc, p)
+				} else if k, ok := mixExtra(kv.I[p], extra, p, nil); ok {
+					pt.itable[k] = append(pt.itable[k], int32(pt.n))
+					pt.add(sb, storeSrc, p)
 				}
-				for si, vi := range storeSrc {
-					pt.store[si].AppendFrom(sb.B.Cols[vi], p)
-				}
-				pt.n++
 				w := int64(sb.rowWidth(i, ctx.TotalSlots) + 32)
 				ctx.Tr.Alloc(w)
 				c.bytes += w
@@ -274,6 +314,9 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 			ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.HashCPU), 1.0)
 		}
 	}
+	if ctx.Trace != nil {
+		ctx.Trace.SetAttr("hash_keys", int64(max(1, len(c.keyCols))))
+	}
 
 	if fusedScan != nil {
 		if err := c.fusedProbe(fusedScan, fusedMorsels); err != nil {
@@ -292,7 +335,7 @@ func newBatchHashJoin(ctx *Context, j *plan.Join) (BatchCursor, error) {
 // builders touch only real memory; Metrics and MemPeak are therefore
 // bit-identical to a single-partition build. The per-batch barrier
 // keeps the borrowed batch alive until every builder is done with it.
-func (c *batchHashJoin) buildPartitionedBatch(sb *SlotBatch, keyVi int, storeSrc []int) {
+func (c *batchHashJoin) buildPartitionedBatch(sb *SlotBatch, keyVi int, storeSrc []int, extra []*vec.Vec) {
 	kv := sb.B.Cols[keyVi]
 	n := sb.Len()
 	P := len(c.parts)
@@ -306,15 +349,12 @@ func (c *batchHashJoin) buildPartitionedBatch(sb *SlotBatch, keyVi int, storeSrc
 				if kv.IsNull(p) {
 					continue
 				}
-				k := kv.I[p]
-				if partitionOf(k, P) != pi {
+				k, ok := mixExtra(kv.I[p], extra, p, nil)
+				if !ok || partitionOf(k, P) != pi {
 					continue
 				}
 				pt.itable[k] = append(pt.itable[k], int32(pt.n))
-				for si, vi := range storeSrc {
-					pt.store[si].AppendFrom(sb.B.Cols[vi], p)
-				}
-				pt.n++
+				pt.add(sb, storeSrc, p)
 			}
 		}(pi, c.parts[pi])
 	}
@@ -330,6 +370,208 @@ func (c *batchHashJoin) buildPartitionedBatch(sb *SlotBatch, keyVi int, storeSrc
 		c.ctx.Tr.ChargeParallelCPU(vclock.CPU(1, m.HashCPU), 1.0)
 	}
 	wg.Wait()
+}
+
+// add appends build row p to the partition's store.
+func (pt *joinPart) add(sb *SlotBatch, storeSrc []int, p int) {
+	for si, vi := range storeSrc {
+		pt.store[si].AppendFrom(sb.B.Cols[vi], p)
+	}
+	pt.n++
+}
+
+// foldKeys picks the residual conjuncts an int-keyed build hashes
+// beside LeftSlot = RightSlot: ColRef = ColRef between a stored build
+// column and a column of a table the probe subtree scans, both of the
+// store column's int-backed kind. In the composite row the residual
+// sees, such a conjunct compares the stored build value with the probe
+// value, and `=` on one int-backed kind is payload equality. Mixed
+// kinds, strings, and equalities within one side stay in rest. It
+// returns the store column of every key (LeftSlot first) and the probe
+// slot of every folded one, or nil keys when nothing folds. It is a
+// pure function of the plan and the stored build slots.
+func foldKeys(j *plan.Join, storeSlots []int, kinds []value.Kind) (keyCols, probeExtra []int, rest []sql.Expr) {
+	probeRanges, ok := scannedSlots(j.Inner, nil)
+	if !ok {
+		return nil, nil, j.Residual
+	}
+	onProbe := func(slot int) bool {
+		for _, r := range probeRanges {
+			if slot >= r[0] && slot < r[1] {
+				return true
+			}
+		}
+		return false
+	}
+	for _, e := range j.Residual {
+		if sc, ps := foldable(e, storeSlots, kinds, onProbe); sc >= 0 {
+			if keyCols == nil {
+				keyCols = []int{slotVec(storeSlots, j.LeftSlot)}
+			}
+			keyCols = append(keyCols, sc)
+			probeExtra = append(probeExtra, ps)
+			continue
+		}
+		rest = append(rest, e)
+	}
+	return keyCols, probeExtra, rest
+}
+
+// foldable reports the store column and probe slot of a conjunct
+// foldKeys can hash, or sc = -1.
+func foldable(e sql.Expr, storeSlots []int, kinds []value.Kind, onProbe func(int) bool) (sc, ps int) {
+	b, ok := e.(*sql.BinOp)
+	if !ok || b.Op != "=" {
+		return -1, 0
+	}
+	l, lok := b.L.(*sql.ColRef)
+	r, rok := b.R.(*sql.ColRef)
+	if !lok || !rok {
+		return -1, 0
+	}
+	for _, pair := range [2][2]*sql.ColRef{{l, r}, {r, l}} {
+		bc, pc := pair[0], pair[1]
+		sc := slotVec(storeSlots, bc.Slot)
+		if sc < 0 || onProbe(bc.Slot) || !onProbe(pc.Slot) || slotVec(storeSlots, pc.Slot) >= 0 {
+			continue
+		}
+		if k := kinds[sc]; intBacked(k) && bc.Kind == k && pc.Kind == k {
+			return sc, pc.Slot
+		}
+	}
+	return -1, 0
+}
+
+// scannedSlots appends the composite slot range [SlotBase,
+// SlotBase+width) of every table scanned under n. ok is false when n
+// holds an operator other than scans, filters and joins, whose output
+// slots are not its tables' own.
+func scannedSlots(n plan.Node, dst [][2]int) ([][2]int, bool) {
+	switch v := n.(type) {
+	case *plan.Scan:
+		return append(dst, [2]int{v.SlotBase, v.SlotBase + v.Table.Schema.Len()}), true
+	case *plan.Filter, *plan.Join:
+		for _, ch := range n.Children() {
+			var ok bool
+			if dst, ok = scannedSlots(ch, dst); !ok {
+				return nil, false
+			}
+		}
+		return dst, true
+	}
+	return nil, false
+}
+
+// extraBuildVecs returns the build batch's vector for every folded key
+// beyond LeftSlot (nil for a single-key join).
+func (c *batchHashJoin) extraBuildVecs(sb *SlotBatch, storeSrc []int) []*vec.Vec {
+	if len(c.keyCols) == 0 {
+		return nil
+	}
+	extra := make([]*vec.Vec, len(c.keyCols)-1)
+	for i, sc := range c.keyCols[1:] {
+		extra[i] = sb.B.Cols[storeSrc[sc]]
+	}
+	return extra
+}
+
+// mixKey folds one more key column's payload into a composite hash key.
+// Distinct tuples may collide; keysMatch verifies every candidate.
+func mixKey(h, k int64) int64 {
+	return int64(uint64(h)*0x9e3779b97f4a7c15) + k
+}
+
+// mixExtra folds the extra key columns at position p into the first
+// key's payload k. With no extra keys it returns k itself, so a
+// single-key join keys its table on the raw payload. ok is false when
+// an extra key is NULL; vals, when non-nil, receives their payloads.
+func mixExtra(k int64, extra []*vec.Vec, p int, vals []int64) (int64, bool) {
+	for i, v := range extra {
+		if v.IsNull(p) {
+			return 0, false
+		}
+		k = mixKey(k, v.I[p])
+		if vals != nil {
+			vals[i] = v.I[p]
+		}
+	}
+	return k, true
+}
+
+// rowKey is mixExtra for a row-layout probe: it folds the extra keys of
+// row into the first key's payload k0.
+func (c *batchHashJoin) rowKey(row value.Row, k0 int64, vals []int64) (int64, bool) {
+	for i, slot := range c.probeExtra {
+		x, ok := rowKeyPayload(row[slot], c.keyKinds[i+1])
+		if !ok {
+			return 0, false
+		}
+		k0 = mixKey(k0, x)
+		vals[i] = x
+	}
+	return k0, true
+}
+
+// keysMatch is the typed verify behind a composite key: build entry idx
+// carries payload k0 in the first key column and vals in the others.
+func (c *batchHashJoin) keysMatch(pt *joinPart, idx int32, k0 int64, vals []int64) bool {
+	if pt.store[c.keyCols[0]].I[idx] != k0 {
+		return false
+	}
+	for i, v := range vals {
+		if pt.store[c.keyCols[i+1]].I[idx] != v {
+			return false
+		}
+	}
+	return true
+}
+
+// encodedPayload returns the payload under which the row spine's hash
+// table, keyed by value.EncodeKey, files row value v against a hashed
+// key of int-backed kind k: BIGINT and DATE share one encoding and
+// BOOLEAN has its own. A value of another kind is not looked up; the
+// row spine matches a DOUBLE to a BIGINT key only where their key bytes
+// happen to coincide (0.0 and 0, for one).
+func encodedPayload(v value.Value, k value.Kind) (int64, bool) {
+	switch vk := v.Kind(); {
+	case vk == value.KindBool && k == value.KindBool:
+		if v.Bool() {
+			return 1, true
+		}
+		return 0, true
+	case (vk == value.KindInt || vk == value.KindDate) && k != value.KindBool:
+		return v.Int(), true
+	}
+	return 0, false
+}
+
+// rowKeyPayload returns the payload a row value must carry to compare
+// equal (value.Compare) to a value of int-backed kind k, or false when
+// it is NULL or can equal no such value. A row value need not carry its
+// column's declared kind: the binder keeps a non-integral DOUBLE
+// inserted into a BIGINT column, for one.
+func rowKeyPayload(v value.Value, k value.Kind) (int64, bool) {
+	switch vk := v.Kind(); {
+	case vk == value.KindNull:
+		return 0, false
+	case vk == value.KindBool || k == value.KindBool:
+		if vk != k {
+			return 0, false
+		}
+		if v.Bool() {
+			return 1, true
+		}
+		return 0, true
+	case vk == value.KindFloat:
+		f := v.Float()
+		if f != math.Trunc(f) || f < math.MinInt64 || f >= math.MaxInt64 {
+			return 0, false
+		}
+		return int64(f), true
+	case vk.Numeric():
+		return v.Int(), true
+	}
+	return 0, false
 }
 
 func (c *batchHashJoin) newProbeState(owned bool) *probeState {
@@ -374,14 +616,32 @@ func (c *batchHashJoin) release() {
 // output batch of joined rows, or nil when no probe row survived.
 func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeState) *SlotBatch {
 	m := tr.Model
+	if st.vals == nil && len(c.probeExtra) > 0 {
+		st.vals = make([]int64, len(c.probeExtra))
+	}
 	if sb.Rows == nil && !st.keyRes {
 		st.keyRes = true
 		st.keyVi = slotVec(sb.Slots, c.j.RightSlot)
+		for i, slot := range c.probeExtra {
+			vi := slotVec(sb.Slots, slot)
+			if vi < 0 || sb.B.Cols[vi].Kind != c.keyKinds[i+1] {
+				st.keyVi = -1
+				break
+			}
+			st.extraVi = append(st.extraVi, vi)
+		}
 	}
 	if sb.Rows == nil && st.keyVi < 0 {
-		// Key column not decoded in this batch shape: fall back to
-		// composite rows for the whole batch.
+		// A key column is not decoded (or not of its key's kind) in this
+		// batch shape: fall back to composite rows for the whole batch.
 		sb = &SlotBatch{Rows: sb.materializeRows(c.ctx.TotalSlots)}
+	}
+	var extra []*vec.Vec
+	if sb.Rows == nil && len(c.probeExtra) > 0 {
+		extra = make([]*vec.Vec, len(st.extraVi))
+		for i, vi := range st.extraVi {
+			extra[i] = sb.B.Cols[vi]
+		}
 	}
 	if sb.Rows == nil && c.parts != nil && !st.colInit {
 		st.colInit = true
@@ -432,6 +692,7 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 		pt := c.part0()
 		var probeRow value.Row
 		var p int
+		var k0 int64
 		if sb.Rows != nil {
 			probeRow = sb.Rows[i]
 			k := probeRow[c.j.RightSlot]
@@ -439,7 +700,15 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 				continue
 			}
 			if c.intKeyed() {
-				matches, pt = c.lookupInt(k.Int())
+				var ok bool
+				if k0, ok = encodedPayload(k, c.keyKinds[0]); !ok {
+					continue
+				}
+				h, ok := c.rowKey(probeRow, k0, st.vals)
+				if !ok {
+					continue
+				}
+				matches, pt = c.lookupInt(h)
 			} else {
 				st.buf = value.EncodeKey(st.buf[:0], k)
 				matches = c.htable[string(st.buf)]
@@ -451,7 +720,12 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 				continue
 			}
 			if c.intKeyed() {
-				matches, pt = c.lookupInt(kv.I[p])
+				k0 = kv.I[p]
+				h, ok := mixExtra(k0, extra, p, st.vals)
+				if !ok {
+					continue
+				}
+				matches, pt = c.lookupInt(h)
 			} else {
 				st.buf = value.EncodeKey(st.buf[:0], kv.Value(p))
 				matches = c.htable[string(st.buf)]
@@ -462,14 +736,17 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 		}
 		if colOut {
 			for _, idx := range matches {
-				if len(c.j.Residual) > 0 {
+				if c.keyCols != nil && !c.keysMatch(pt, idx, k0, st.vals) {
+					continue
+				}
+				if len(c.rest) > 0 {
 					for si, slot := range c.storeSlots {
 						st.scratch[slot] = pt.store[si].Value(int(idx))
 					}
 					for _, vi := range st.probeSrc {
 						st.scratch[sb.Slots[vi]] = sb.B.Cols[vi].Value(p)
 					}
-					if !passes(c.ctx, c.j.Residual, st.scratch) {
+					if !passes(c.ctx, c.rest, st.scratch) {
 						continue
 					}
 				}
@@ -484,6 +761,9 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 			continue
 		}
 		for _, idx := range matches {
+			if c.keyCols != nil && !c.keysMatch(pt, idx, k0, st.vals) {
+				continue
+			}
 			var out value.Row
 			if c.storeRows != nil {
 				out = c.storeRows[idx].Clone()
@@ -509,7 +789,7 @@ func (c *batchHashJoin) probeOne(tr *vclock.Tracker, sb *SlotBatch, st *probeSta
 					}
 				}
 			}
-			if !passes(c.ctx, c.j.Residual, out) {
+			if !passes(c.ctx, c.rest, out) {
 				continue
 			}
 			rows = append(rows, out)

@@ -121,28 +121,6 @@ func Execute(tr *vclock.Tracker, root *plan.Root, totalSlots int, opts RunOption
 	return res, nil
 }
 
-// Run executes a plan to completion.
-//
-// Deprecated: use Execute.
-func Run(tr *vclock.Tracker, root *plan.Root, totalSlots int) (*Result, error) {
-	return Execute(tr, root, totalSlots, RunOptions{})
-}
-
-// RunTraced executes a plan to completion, attaching a per-operator
-// trace tree under tn when it is non-nil (EXPLAIN ANALYZE).
-//
-// Deprecated: use Execute.
-func RunTraced(tr *vclock.Tracker, root *plan.Root, totalSlots int, tn *metrics.TraceNode) (*Result, error) {
-	return Execute(tr, root, totalSlots, RunOptions{Trace: tn})
-}
-
-// RunWith executes a plan to completion with explicit options.
-//
-// Deprecated: use Execute.
-func RunWith(tr *vclock.Tracker, root *plan.Root, totalSlots int, opts RunOptions) (*Result, error) {
-	return Execute(tr, root, totalSlots, opts)
-}
-
 // Build constructs the cursor tree for a plan node. With tracing
 // enabled it also mirrors the plan as a metrics.TraceNode tree: every
 // operator is wrapped in a cursor that counts emitted rows and
